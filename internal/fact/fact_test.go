@@ -3,6 +3,7 @@ package fact
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -293,6 +294,29 @@ func TestGenerateFreeDims(t *testing.T) {
 			if d != 1 {
 				t.Errorf("fact restricts non-free dim %d", d)
 			}
+		}
+	}
+}
+
+// TestGenerateNormalizesScopes checks that facts come out with the same
+// normalized scopes whether or not the free dimensions are listed in
+// ascending order, and that the overall fact's scope is nil.
+func TestGenerateNormalizesScopes(t *testing.T) {
+	rel := buildFlights(t)
+	asc := Generate(rel.FullView(), 0, GenerateOptions{MaxDims: 2, FreeDims: []int{0, 1}})
+	desc := Generate(rel.FullView(), 0, GenerateOptions{MaxDims: 2, FreeDims: []int{1, 0}})
+	if len(asc) != len(desc) {
+		t.Fatalf("%d facts from ascending free dims, %d from descending", len(asc), len(desc))
+	}
+	if !(Speech{Facts: asc}).Equal(Speech{Facts: desc}) {
+		t.Error("free-dimension order changed the generated facts")
+	}
+	for _, f := range append(asc, desc...) {
+		if !slices.IsSorted(f.Scope.Dims) || len(f.Scope.Dims) != len(f.Scope.Codes) {
+			t.Fatalf("scope not normalized: %+v", f.Scope)
+		}
+		if len(f.Scope.Dims) == 0 && (f.Scope.Dims != nil || f.Scope.Codes != nil) {
+			t.Errorf("overall fact scope = %#v, want nil slices", f.Scope)
 		}
 	}
 }

@@ -83,17 +83,35 @@ func Generate(v *relation.View, target int, opts GenerateOptions) []Fact {
 	}
 	var out []Fact
 	for _, dims := range DimSubsets(free, opts.MaxDims) {
+		// GroupBy returns each group's codes in dims order, so when dims
+		// ascend the codes already are a normalized scope: every fact of
+		// the subset shares dims and keeps its group's codes instead of
+		// a sorted copy of both. The empty scope still goes through
+		// NewScope, which normalizes it to nil slices.
+		direct := len(dims) > 0 && strictlyAscending(dims)
 		for _, g := range v.GroupBy(dims, target) {
 			if g.Count < opts.MinRows || g.Count == 0 {
 				continue
 			}
-			out = append(out, Fact{
-				Scope: NewScope(dims, g.Key.Codes),
-				Value: g.Mean(),
-			})
+			scope := Scope{Dims: dims, Codes: g.Key.Codes}
+			if !direct {
+				scope = NewScope(dims, g.Key.Codes)
+			}
+			out = append(out, Fact{Scope: scope, Value: g.Mean()})
 		}
 	}
 	return out
+}
+
+// strictlyAscending reports whether dims already is a normalized
+// Scope.Dims: ascending, with no dimension repeated.
+func strictlyAscending(dims []int) bool {
+	for i := 1; i < len(dims); i++ {
+		if dims[i] <= dims[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // CountFacts returns the number of facts Generate would produce without

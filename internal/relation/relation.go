@@ -18,8 +18,11 @@
 package relation
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // NoValue marks an unrestricted dimension inside scopes and predicates.
@@ -390,59 +393,191 @@ func (g Group) Mean() float64 {
 	return g.Sum / float64(g.Count)
 }
 
+// ComboRadix returns the mixed-radix multipliers that map a value-code
+// combination over dims to an int64 key, Σ codes[i]·radix[i], reusing
+// buf when it is large enough. Column i's digit has base
+// Cardinality()+1, so distinct combinations get distinct keys and
+// ascending key order compares codes from the last dim to the first.
+// stride is the size of the key space, Π(Cardinality()+1); fits is
+// false when that product overflows an int64, in which case the keys
+// collide and callers must key combinations by AppendCombo instead.
+func (r *Relation) ComboRadix(dims []int, buf []int64) (radix []int64, stride int64, fits bool) {
+	if cap(buf) < len(dims) {
+		buf = make([]int64, len(dims))
+	}
+	radix = buf[:len(dims)]
+	stride, fits = 1, true
+	for i, d := range dims {
+		radix[i] = stride
+		base := int64(r.dims[d].Cardinality()) + 1
+		if stride > math.MaxInt64/base {
+			fits = false
+		}
+		stride *= base
+	}
+	return radix, stride, fits
+}
+
+// ComboKey maps a code combination to its key under radix.
+func ComboKey(codes []int32, radix []int64) int64 {
+	key := int64(0)
+	for i, c := range codes {
+		key += int64(c) * radix[i]
+	}
+	return key
+}
+
+// RowComboKey is ComboKey of the row's codes over dims.
+func (r *Relation) RowComboKey(row int32, dims []int, radix []int64) int64 {
+	key := int64(0)
+	for i, d := range dims {
+		key += int64(r.dims[d].data[row]) * radix[i]
+	}
+	return key
+}
+
+// AppendCombo appends a collision-free composite key of a code
+// combination to buf: four big-endian bytes per code, last code first,
+// so that byte order is ascending ComboKey order. It keys combinations
+// whose ComboRadix key space does not fit an int64.
+func AppendCombo(buf []byte, codes []int32) []byte {
+	for i := len(codes) - 1; i >= 0; i-- {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(codes[i]))
+	}
+	return buf
+}
+
+// AppendRowCombo is AppendCombo of the row's codes over dims.
+func (r *Relation) AppendRowCombo(buf []byte, row int32, dims []int) []byte {
+	for i := len(dims) - 1; i >= 0; i-- {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.dims[dims[i]].data[row]))
+	}
+	return buf
+}
+
+// DenseKeySpace reports whether a key space of stride keys is small
+// enough, relative to an input of n rows, to aggregate into arrays
+// indexed by key: at most four slots per row, plus 256 so that small
+// inputs over small dictionaries stay dense too. Larger key spaces are
+// mostly empty and aggregate through a map instead.
+func DenseKeySpace(stride int64, n int) bool {
+	return stride <= 4*int64(n)+256
+}
+
 // GroupBy aggregates a target column grouped by the given dimension
 // columns (the relational Γ operator with SUM/COUNT, from which AVG is
 // derived). A negative target index counts rows without aggregating a sum.
-// Groups are returned in deterministic order (sorted by codes).
+// Groups are returned in ascending ComboRadix key order, and each sum
+// adds its rows in view order.
+//
+// When the key space is small relative to the view (DenseKeySpace), the
+// rows aggregate into dense count/sum arrays indexed by key, the array
+// layout of Gray et al.'s data cube, which are then read out in key
+// order. Larger key spaces aggregate through a map keyed by the int64
+// combo key, or by the composite AppendCombo key when ComboRadix
+// overflows.
 func (v *View) GroupBy(dims []int, target int) []Group {
-	type agg struct {
-		count int
-		sum   float64
-	}
-	// Mixed-radix key: combine codes using column cardinalities.
-	radix := make([]int64, len(dims))
-	stride := int64(1)
-	for i, d := range dims {
-		radix[i] = stride
-		stride *= int64(v.Rel.dims[d].Cardinality()) + 1
-	}
-	m := make(map[int64]*agg)
+	radix, stride, fits := v.Rel.ComboRadix(dims, nil)
 	var data []float64
 	if target >= 0 {
 		data = v.Rel.targets[target].data
 	}
+	switch {
+	case fits && DenseKeySpace(stride, v.NumRows()):
+		return v.groupByDense(dims, radix, stride, data)
+	case fits:
+		return groupByMap(v, dims, data, func(row int32) int64 {
+			return v.Rel.RowComboKey(row, dims, radix)
+		})
+	default:
+		var buf []byte
+		return groupByMap(v, dims, data, func(row int32) string {
+			buf = v.Rel.AppendRowCombo(buf[:0], row, dims)
+			return string(buf)
+		})
+	}
+}
+
+// groupByDense is GroupBy over count/sum arrays indexed by combo key.
+func (v *View) groupByDense(dims []int, radix []int64, stride int64, data []float64) []Group {
+	counts := make([]int32, stride)
+	var sums []float64
+	if data != nil {
+		sums = make([]float64, stride)
+	}
 	n := v.NumRows()
 	for i := 0; i < n; i++ {
 		row := v.Row(i)
-		key := int64(0)
-		for j, d := range dims {
-			key += int64(v.Rel.dims[d].data[row]) * radix[j]
-		}
-		a := m[key]
-		if a == nil {
-			a = &agg{}
-			m[key] = a
-		}
-		a.count++
+		key := v.Rel.RowComboKey(row, dims, radix)
+		counts[key]++
 		if data != nil {
-			a.sum += data[row]
+			sums[key] += data[row]
 		}
 	}
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	ng := 0
+	for _, c := range counts {
+		if c > 0 {
+			ng++
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Group, 0, len(keys))
-	for _, k := range keys {
-		codes := make([]int32, len(dims))
-		rem := k
+	out := make([]Group, 0, ng)
+	codes := make([]int32, ng*len(dims))
+	for key, c := range counts {
+		if c == 0 {
+			continue
+		}
+		k := codes[:len(dims):len(dims)]
+		codes = codes[len(dims):]
+		rem := int64(key)
 		for j := len(dims) - 1; j >= 0; j-- {
-			codes[j] = int32(rem / radix[j])
+			k[j] = int32(rem / radix[j])
 			rem %= radix[j]
 		}
-		a := m[k]
-		out = append(out, Group{Key: GroupKey{Codes: codes}, Count: a.count, Sum: a.sum})
+		g := Group{Key: GroupKey{Codes: k}, Count: int(c)}
+		if data != nil {
+			g.Sum = sums[key]
+		}
+		out = append(out, g)
+	}
+	return out
+}
+
+// groupByMap is GroupBy through a map from each row's combination key
+// to its group; the keys are then sorted, and their order is the
+// combinations' order.
+func groupByMap[K cmp.Ordered](v *View, dims []int, data []float64, keyOf func(row int32) K) []Group {
+	index := make(map[K]int)
+	var (
+		groups []Group
+		keys   []K
+		codes  []int32 // every group's codes, len(dims) per group
+	)
+	n := v.NumRows()
+	for i := 0; i < n; i++ {
+		row := v.Row(i)
+		key := keyOf(row)
+		gi, ok := index[key]
+		if !ok {
+			gi = len(groups)
+			index[key] = gi
+			keys = append(keys, key)
+			for _, d := range dims {
+				codes = append(codes, v.Rel.dims[d].data[row])
+			}
+			groups = append(groups, Group{})
+		}
+		groups[gi].Count++
+		if data != nil {
+			groups[gi].Sum += data[row]
+		}
+	}
+	slices.Sort(keys)
+	k := len(dims)
+	out := make([]Group, len(keys))
+	for i, key := range keys {
+		gi := index[key]
+		out[i] = groups[gi]
+		out[i].Key.Codes = codes[gi*k : (gi+1)*k : (gi+1)*k]
 	}
 	return out
 }

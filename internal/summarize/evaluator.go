@@ -14,6 +14,7 @@ package summarize
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -33,7 +34,9 @@ import (
 //   - posting lists live in one CSR backing array (postRows + postStart),
 //     so a problem's entire join output is a single allocation;
 //   - per-group combo keys are resolved once at build into dense per-row
-//     slot ids, so GroupBound is a pure array scan with zero hashing;
+//     slot ids, through a dense key→slot table whenever the group's key
+//     space is small, so GroupBound is a pure array scan with zero
+//     hashing;
 //   - speech evaluation uses an epoch-stamped dense scratch instead of a
 //     per-call map, and the exact algorithm's DFS maintains per-row
 //     deviations incrementally with an undo log;
@@ -97,8 +100,10 @@ type Evaluator struct {
 	byMask     map[uint64]int32 // dim-set mask → group (NumDims ≤ 64)
 	byKeyStr   map[string]int32 // fallback group key (NumDims > 64)
 	keyBuf     []byte
-	byCombo    map[int64]int32 // combo key → slot, reused per group
-	slotFact   []int32         // slot → fact (or −1), flattened per group
+	slotTable  []int32          // dense combo key → slot, all −1 between groups
+	slotKeys   []int64          // keys set in slotTable by the current group
+	byCombo    map[string]int32 // composite combo key → slot, large key spaces
+	slotFact   []int32          // slot → fact (or −1), flattened per group
 	radixBuf   []int64
 	gfStart    []int32 // CSR offsets of groupFacts
 	groupFacts []int32 // per-group fact lists, one backing array
@@ -109,6 +114,7 @@ type Evaluator struct {
 	sorter     utilOrderSorter
 	chosenMark []bool
 	aliveMark  []bool
+	plan       planner // G-O/G-P pruning planner scratch
 
 	// JoinedRows counts row-fact pairs processed, mirroring the paper's
 	// processing-cost metric (number of rows processed by joins). The
@@ -258,49 +264,16 @@ func (e *Evaluator) detach() {
 	e.groups = e.groups[:0]
 }
 
-// comboRadixInto fills mixed-radix multipliers that map a value-code
-// combination over the given dimensions to a unique int64 key, reusing
-// the evaluator's radix buffer.
-func (e *Evaluator) comboRadixInto(dims []int) []int64 {
-	if cap(e.radixBuf) < len(dims) {
-		e.radixBuf = make([]int64, len(dims))
-	}
-	radix := e.radixBuf[:len(dims)]
-	stride := int64(1)
-	for i, d := range dims {
-		radix[i] = stride
-		stride *= int64(e.view.Rel.Dim(d).Cardinality()) + 1
-	}
-	return radix
-}
-
-// comboKey maps a code combination to its int64 key under radix.
-func comboKey(codes []int32, radix []int64) int64 {
-	key := int64(0)
-	for i, c := range codes {
-		key += int64(c) * radix[i]
-	}
-	return key
-}
-
-// rowComboKey computes the combo key of a relation row for dims.
-func (e *Evaluator) rowComboKey(row int32, dims []int, radix []int64) int64 {
-	key := int64(0)
-	for j, d := range dims {
-		key += int64(e.view.Rel.Dim(d).CodeAt(int(row))) * radix[j]
-	}
-	return key
-}
-
 // buildGroupsAndPostings groups facts by restricted dimension set and
 // assigns each view row to the matching fact of every group in a single
 // pass per group. Facts in one group partition the rows, so the join
 // R ⋊⋉M F costs one relation pass per fact group instead of one per fact.
 //
 // The same per-group row pass resolves each row's value combination to a
-// dense slot id, stored for the lifetime of the problem: GroupBound
-// re-reads those slots on every greedy iteration instead of recomputing
-// radix keys, and the postings land in one shared CSR backing array.
+// dense slot id (resolveSlots), stored for the lifetime of the problem:
+// GroupBound re-reads those slots on every greedy iteration instead of
+// recomputing radix keys, and the postings land in one shared CSR
+// backing array.
 func (e *Evaluator) buildGroupsAndPostings() {
 	n := e.view.NumRows()
 	nf := len(e.facts)
@@ -370,8 +343,8 @@ func (e *Evaluator) buildGroupsAndPostings() {
 		e.groups[g].Facts = e.groupFacts[gf[g]:gf[g+1]]
 	}
 
-	// 3) One keyed pass per group resolves rows to slots, counting each
-	// fact's posting size along the way.
+	// 3) One pass per group resolves rows to slots, then one scan of the
+	// slots counts each fact's posting size.
 	e.postStart = growInt(e.postStart, nf+1)
 	ps := e.postStart
 	for i := range ps {
@@ -384,9 +357,6 @@ func (e *Evaluator) buildGroupsAndPostings() {
 		}
 	}
 	e.rowSlots = growI32(e.rowSlots, boundGroups*n)
-	if e.byCombo == nil {
-		e.byCombo = make(map[int64]int32)
-	}
 	e.slotFact = e.slotFact[:0]
 	maxSlots := 0
 	off := 0
@@ -400,24 +370,12 @@ func (e *Evaluator) buildGroupsAndPostings() {
 			grp.slotsOff, grp.numSlots, grp.slotBase = -1, 0, -1
 			continue
 		}
-		radix := e.comboRadixInto(grp.Dims)
-		clear(e.byCombo)
 		grp.slotBase = len(e.slotFact)
-		for _, fi := range grp.Facts {
-			e.byCombo[comboKey(e.facts[fi].Scope.Codes, radix)] = int32(len(e.slotFact) - grp.slotBase)
-			e.slotFact = append(e.slotFact, fi)
-		}
 		rs := e.rowSlots[off : off+n]
-		for i := 0; i < n; i++ {
-			key := e.rowComboKey(e.view.Row(i), grp.Dims, radix)
-			slot, ok := e.byCombo[key]
-			if !ok {
-				slot = int32(len(e.slotFact) - grp.slotBase)
-				e.byCombo[key] = slot
-				e.slotFact = append(e.slotFact, -1)
-			}
-			rs[i] = slot
-			if fi := e.slotFact[grp.slotBase+int(slot)]; fi >= 0 {
+		e.resolveSlots(grp, rs)
+		slotFact := e.slotFact[grp.slotBase:]
+		for _, slot := range rs {
+			if fi := slotFact[slot]; fi >= 0 {
 				ps[fi+1]++
 			}
 		}
@@ -461,6 +419,74 @@ func (e *Evaluator) buildGroupsAndPostings() {
 	e.JoinedRows += int64(ps[nf])
 }
 
+// resolveSlots writes the dense slot id of every view row's value
+// combination over grp.Dims into rs and appends the group's slot→fact
+// entries to slotFact. The group's facts take the first slots in order;
+// combinations no fact covers take the next ones in order of first
+// appearance. When the combination key space is small relative to the
+// relation (relation.DenseKeySpace), keys resolve through slotTable, a
+// dense key→slot table whose entries are all −1 between calls: only the
+// entries a group sets are reset, so a group costs O(view rows) however
+// large the table, and the pooled table grows to the largest key space
+// seen. Otherwise keys resolve through a map from the composite
+// relation.AppendCombo key.
+func (e *Evaluator) resolveSlots(grp *FactGroup, rs []int32) {
+	rel := e.view.Rel
+	radix, stride, fits := rel.ComboRadix(grp.Dims, e.radixBuf)
+	e.radixBuf = radix
+	if fits && relation.DenseKeySpace(stride, rel.NumRows()) {
+		for int64(len(e.slotTable)) < stride {
+			e.slotTable = append(e.slotTable, -1)
+		}
+		table, keys := e.slotTable, e.slotKeys[:0]
+		for slot, fi := range grp.Facts {
+			// A fact whose codes fall outside the relation's dictionaries
+			// keys past the table and, like any key no row has, gets no rows.
+			if key := relation.ComboKey(e.facts[fi].Scope.Codes, radix); key >= 0 && key < stride {
+				table[key] = int32(slot)
+				keys = append(keys, key)
+			}
+			e.slotFact = append(e.slotFact, fi)
+		}
+		for i := range rs {
+			key := rel.RowComboKey(e.view.Row(i), grp.Dims, radix)
+			slot := table[key]
+			if slot < 0 {
+				slot = int32(len(e.slotFact) - grp.slotBase)
+				table[key] = slot
+				keys = append(keys, key)
+				e.slotFact = append(e.slotFact, -1)
+			}
+			rs[i] = slot
+		}
+		for _, key := range keys {
+			table[key] = -1
+		}
+		e.slotKeys = keys
+		return
+	}
+	if e.byCombo == nil {
+		e.byCombo = make(map[string]int32)
+	} else {
+		clear(e.byCombo)
+	}
+	for slot, fi := range grp.Facts {
+		e.keyBuf = relation.AppendCombo(e.keyBuf[:0], e.facts[fi].Scope.Codes)
+		e.byCombo[string(e.keyBuf)] = int32(slot)
+		e.slotFact = append(e.slotFact, fi)
+	}
+	for i := range rs {
+		e.keyBuf = rel.AppendRowCombo(e.keyBuf[:0], e.view.Row(i), grp.Dims)
+		slot, ok := e.byCombo[string(e.keyBuf)]
+		if !ok {
+			slot = int32(len(e.slotFact) - grp.slotBase)
+			e.byCombo[string(e.keyBuf)] = slot
+			e.slotFact = append(e.slotFact, -1)
+		}
+		rs[i] = slot
+	}
+}
+
 // posting returns fact fi's slice of the CSR join output.
 func (e *Evaluator) posting(fi int) []int32 {
 	return e.postRows[e.postStart[fi]:e.postStart[fi+1]]
@@ -492,6 +518,18 @@ func (e *Evaluator) NumFacts() int { return len(e.facts) }
 
 // Facts returns the candidate facts (not a copy; callers must not modify).
 func (e *Evaluator) Facts() []fact.Fact { return e.facts }
+
+// appendFacts appends the facts at idx to dst, each with scope slices of
+// its own: candidate facts share their dims and codes with fact
+// generation's buffers, and a speech outlives the solve in the store.
+func (e *Evaluator) appendFacts(dst []fact.Fact, idx []int32) []fact.Fact {
+	for _, fi := range idx {
+		f := e.facts[fi]
+		f.Scope = fact.Scope{Dims: slices.Clone(f.Scope.Dims), Codes: slices.Clone(f.Scope.Codes)}
+		dst = append(dst, f)
+	}
+	return dst
+}
 
 // Groups returns the fact groups (not a copy; callers must not modify).
 func (e *Evaluator) Groups() []FactGroup { return e.groups }

@@ -190,9 +190,7 @@ func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 		PriorError:    e.PriorError(),
 		ResidualError: residual,
 	}
-	for _, fi := range best {
-		out.Facts = append(out.Facts, e.Facts()[fi])
-	}
+	out.Facts = e.appendFacts(nil, best)
 	stats.TimedOut = timedOut
 	stats.Cancelled = cancelled
 	stats.Elapsed = time.Since(start)

@@ -209,10 +209,7 @@ func GreedyCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 	}
 
 	residual := e.CurrentError()
-	facts := make([]fact.Fact, len(chosen))
-	for i, fi := range chosen {
-		facts[i] = e.Facts()[fi]
-	}
+	facts := e.appendFacts(make([]fact.Fact, 0, len(chosen)), chosen)
 	stats.Elapsed = time.Since(start)
 	stats.JoinedRows = e.JoinedRows - joined0
 	return Summary{

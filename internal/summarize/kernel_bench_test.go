@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cicero/internal/dataset"
 	"cicero/internal/fact"
 	"cicero/internal/relation"
 )
@@ -105,5 +106,25 @@ func BenchmarkExactParallelSolve(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOptPrune measures G-O's pruning planner alone (Algorithm 4's
+// candidate walk under the Section VI-C cost model) on a
+// StackOverflow-shaped problem: seven dimension columns and facts of up
+// to two dimensions, so 29 fact groups, as in the pre-processing batch.
+func BenchmarkOptPrune(b *testing.B) {
+	rel := dataset.StackOverflow(2000, 1)
+	view := rel.FullView()
+	facts := fact.Generate(view, 0, fact.GenerateOptions{MaxDims: 2})
+	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
+	opts := Options{}.withDefaults()
+	b.ReportMetric(float64(len(e.Groups())), "groups")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := OptPrune(e, opts); len(p.Source) == 0 {
+			b.Fatal("empty plan")
+		}
 	}
 }

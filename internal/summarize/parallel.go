@@ -165,9 +165,7 @@ func ExactParallelCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 		PriorError:    e.PriorError(),
 		ResidualError: residual,
 	}
-	for _, fi := range best {
-		out.Facts = append(out.Facts, e.Facts()[fi])
-	}
+	out.Facts = e.appendFacts(nil, best)
 	stats.Elapsed = time.Since(start)
 	stats.JoinedRows = e.JoinedRows - joined0
 	out.Stats = stats

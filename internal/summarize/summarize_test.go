@@ -2,7 +2,9 @@ package summarize
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -414,13 +416,12 @@ func TestPlannerProducesValidPlans(t *testing.T) {
 	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
 	opts := Options{}.withDefaults()
 
-	ctx := newPlanContext(e, opts)
-	plans := candidatePlans(ctx)
-	if len(plans) == 0 {
-		t.Fatal("no candidate plans")
-	}
+	pl := e.planner(opts)
 	nGroups := len(e.Groups())
-	for _, p := range plans {
+	candidates, foundFull := 0, false
+	pl.walk(nGroups, func(prefix int, targets []int, cost float64) {
+		candidates++
+		p := Plan{Source: pl.byM[:prefix], Targets: targets}
 		seen := map[int]bool{}
 		for _, s := range p.Source {
 			if s < 0 || s >= nGroups || seen[s] {
@@ -430,22 +431,25 @@ func TestPlannerProducesValidPlans(t *testing.T) {
 		}
 		for _, tg := range p.Targets {
 			if tg < 0 || tg >= nGroups || seen[tg] {
-				t.Fatalf("target %d overlaps source or invalid in %+v", tg, p)
+				t.Fatalf("target %d overlaps source, repeats or is invalid in %+v", tg, p)
 			}
+			seen[tg] = true
 		}
-		if c := ctx.planCost(p); c <= 0 {
-			t.Fatalf("plan cost %v must be positive", c)
+		if cost <= 0 {
+			t.Fatalf("plan cost %v must be positive", cost)
 		}
-	}
-	// The full-scan plan must be among the candidates (sources = all).
-	foundFull := false
-	for _, p := range plans {
+		// The full-scan plan (sources = all) is the last candidate.
 		if len(p.Source) == nGroups {
 			foundFull = true
 			if len(p.Targets) != 0 {
 				t.Error("full-source plan should have no targets")
 			}
+		} else if foundFull {
+			t.Error("candidate after the full-scan plan")
 		}
+	})
+	if candidates == 0 {
+		t.Fatal("no candidate plans")
 	}
 	if !foundFull {
 		t.Error("full-scan fallback plan missing")
@@ -460,7 +464,17 @@ func TestOptPruneDeterministic(t *testing.T) {
 	opts := Options{}.withDefaults()
 	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
 	first := OptPrune(e, opts)
+	// The planner's scratch lives in the evaluator: planning another
+	// problem in between must not leak into the next plan.
+	other := randomRelation(rng, 80).FullView()
+	otherFacts := fact.Generate(other, 0, fact.GenerateOptions{MaxDims: 3})
 	for i := 0; i < 5; i++ {
+		if i%2 == 1 {
+			e.Reset(other, 0, otherFacts, fact.MeanPrior(other, 0))
+			OptPrune(e, opts)
+			NaivePlan(e, opts)
+			e.Reset(view, 0, facts, fact.MeanPrior(view, 0))
+		}
 		again := OptPrune(e, opts)
 		if len(again.Source) != len(first.Source) || len(again.Targets) != len(first.Targets) {
 			t.Fatal("OptPrune not deterministic")
@@ -531,5 +545,88 @@ func TestPropertyExactAtLeastGreedy(t *testing.T) {
 		if math.Abs(recomputed-greedy.Utility) > 1e-9 {
 			t.Fatalf("trial %d: greedy reported %v, recomputed %v", trial, greedy.Utility, recomputed)
 		}
+	}
+}
+
+// TestEvaluatorComboKeyOverflow is the evaluator's mixed-radix overflow
+// regression. Seven columns of 600 values make Π(card+1) = 601⁷ exceed
+// int64. Row i takes value i in every column; one more row takes the
+// base-601 digits of 2⁶⁴, so its wrapped int64 combo key would equal row
+// 0's. A fact for every row's combination must post exactly that row.
+func TestEvaluatorComboKeyOverflow(t *testing.T) {
+	const n, nd = 600, 7
+	names := make([]string, nd)
+	for d := range names {
+		names[d] = string(rune('a' + d))
+	}
+	b := relation.NewBuilder("wide", relation.Schema{Dimensions: names, Targets: []string{"v"}})
+	row := make([]string, nd)
+	for i := 0; i < n; i++ {
+		for d := range row {
+			row[d] = strconv.Itoa(i)
+		}
+		b.MustAddRow(row, []float64{float64(i)})
+	}
+	wrap := new(big.Int).Lsh(big.NewInt(1), 64)
+	digit := new(big.Int)
+	for d := range row {
+		wrap.DivMod(wrap, big.NewInt(n+1), digit)
+		row[d] = digit.String()
+	}
+	b.MustAddRow(row, []float64{n})
+	rel := b.Freeze()
+	view := rel.FullView()
+	dims := []int{0, 1, 2, 3, 4, 5, 6}
+	if _, _, fits := rel.ComboRadix(dims, nil); fits {
+		t.Fatal("key space unexpectedly fits an int64")
+	}
+	facts := make([]fact.Fact, rel.NumRows())
+	for i := range facts {
+		codes := make([]int32, nd)
+		for d := range codes {
+			codes[d] = rel.Dim(d).CodeAt(i)
+		}
+		facts[i] = fact.Fact{Scope: fact.NewScope(dims, codes), Value: float64(i)}
+	}
+	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
+	for fi := range facts {
+		if post := e.posting(fi); len(post) != 1 || int(post[0]) != fi {
+			t.Fatalf("fact %d posts rows %v, want [%d]", fi, post, fi)
+		}
+	}
+}
+
+// TestSummaryFactsOwnScopes checks that every solver returns facts whose
+// scope slices are copies: candidate facts share them with fact
+// generation's buffers, which a stored speech must not keep alive.
+func TestSummaryFactsOwnScopes(t *testing.T) {
+	rel := randomRelation(rand.New(rand.NewSource(4)), 200)
+	e := newEval(t, rel, 2)
+	g := Greedy(e, Options{MaxFacts: 3})
+	scoped := 0
+	for _, sum := range []Summary{
+		g,
+		Exact(e, Options{MaxFacts: 3, LowerBound: g.Utility}),
+		ExactParallel(e, Options{MaxFacts: 3, LowerBound: g.Utility, Workers: 2}),
+	} {
+		if len(sum.Facts) == 0 {
+			t.Fatal("empty speech")
+		}
+		for i, f := range sum.Facts {
+			cand := e.Facts()[sum.FactIdx[i]]
+			if !f.Scope.Equal(cand.Scope) || f.Value != cand.Value {
+				t.Fatalf("fact %d = %v, candidate %v", i, f, cand)
+			}
+			if len(f.Scope.Dims) == 0 {
+				continue
+			}
+			scoped++
+			if &f.Scope.Dims[0] == &cand.Scope.Dims[0] || &f.Scope.Codes[0] == &cand.Scope.Codes[0] {
+				t.Fatalf("fact %d shares its scope slices with the candidate", i)
+			}
+		}
+	}
+	if scoped == 0 {
+		t.Fatal("no speech fact restricts a dimension")
 	}
 }
